@@ -9,6 +9,8 @@
    iolb eval mgs -m 128 -n 64 -s 256  numeric bounds at a concrete point
    iolb simulate mgs -m 12 -n 8 -s 16 pebble-game I/O vs the bounds
    iolb simulate mgs --sizes 8,16,32  cache sweep: every S from one pass
+   iolb simulate --file prog.iolb --param N=64
+                                      same, for a DSL source at run size N
    iolb tile mgs -m 48 -n 16 -s 400   tiled-ordering cache simulation
    iolb check --count 200 --seed 42   certify the pipeline on random programs
    iolb serve --socket /tmp/iolb.sock the crash-tolerant bound service
@@ -21,11 +23,9 @@
 open Cmdliner
 
 module Report = Iolb.Report
-module D = Iolb.Derive
 module Budget = Iolb_util.Budget
 module Engine_error = Iolb_util.Engine_error
 module Cdag = Iolb_cdag.Cdag
-module Game = Iolb_pebble.Game
 module Cache = Iolb_pebble.Cache
 module Sweep = Iolb_pebble.Sweep
 module Trace = Iolb_pebble.Trace
@@ -405,11 +405,11 @@ let simulate_cmd =
       else Ok ()
     in
     let* budget = make_budget budget_spec in
-    (* Resolve the subject: a built-in kernel evaluated at -m/-n, or a
-       parsed --file source at its verify sizes (overridable per parameter
-       with --param).  Both produce the program, its concrete sizes, a
-       degradation notice, and labelled lower bounds at a given S. *)
-    let* program, params, degradation, pebble_lines =
+    (* One subject for both inputs: a built-in kernel run at -m/-n, or a
+       parsed --file source run at its verify sizes overridden per
+       parameter by --param.  Either way the bounds are derived at the
+       subject's verify sizes, never at the run sizes. *)
+    let* subject =
       match (name, file) with
       | Some _, Some _ ->
           Error
@@ -429,67 +429,30 @@ let simulate_cmd =
             else Ok ()
           in
           let* entry = Report.find_checked name in
-          let* params = Report.concrete_params entry ~m ~n in
-          let* a = Report.analyze_checked ~budget entry in
-          let pebble_lines ~s =
-            List.filter_map
-              (fun tech ->
-                Report.eval_best a ~technique:tech ~m ~n ~s
-                |> Option.map (fun v ->
-                       ( (match tech with
-                         | `Classical -> "classical"
-                         | `Hourglass -> "hourglass"),
-                         v )))
-              [ `Classical; `Hourglass ]
-          in
-          Ok (entry.Report.program, params, a.Report.degradation, pebble_lines)
+          let* run = Report.concrete_params entry ~m ~n in
+          Driver.of_entry ~budget ~run entry
       | None, Some path ->
           let* src = Front.parse_file path in
-          let* overrides =
+          let* run =
             List.fold_left
               (fun acc spec ->
                 let* acc = acc in
-                let* (name, v) = parse_param spec in
-                if List.mem_assoc name src.Front.verify then
-                  Ok ((name, v) :: acc)
-                else
-                  Error
-                    (Engine_error.Invalid_input
-                       (Printf.sprintf
-                          "--param %s=%d: %s is not a parameter of kernel %s"
-                          name v name
-                          src.Front.program.Iolb_ir.Program.name)))
+                let* binding = parse_param spec in
+                Ok (binding :: acc))
               (Ok []) param_overrides
           in
-          let params =
-            List.map
-              (fun (p, v) ->
-                (p, Option.value ~default:v (List.assoc_opt p overrides)))
-              src.Front.verify
-          in
-          let* (o : D.outcome) =
-            D.analyze_ladder ~budget ~verify_params:params src.Front.program
-          in
-          let pebble_lines ~s =
-            match D.best ~params ~s o.D.bounds with
-            | Some b -> [ ("derived", D.eval b ~params ~s) ]
-            | None -> []
-          in
-          Ok (src.Front.program, params, o.D.degradation, pebble_lines)
+          Driver.of_source ~budget ~run:(List.rev run) src
     in
-    let show_degradation () =
-      match degradation with
-      | Some why -> Printf.printf "degraded: %s\n" why
-      | None -> ()
-    in
+    let program = subject.Driver.program and params = subject.Driver.run in
     let lb ~s =
       List.fold_left
         (fun acc (_, v) -> Float.max acc v)
-        0. (pebble_lines ~s)
+        0.
+        (Driver.bound_lines subject ~params ~s)
     in
     match sizes with
     | Some spec -> (
-        show_degradation ();
+        Driver.pp_degradation Format.std_formatter subject;
         match sample_rate with
         | Some rate ->
             run_sweep_sampled ~program ~params ~budget ~rate
@@ -498,28 +461,7 @@ let simulate_cmd =
             run_sweep_streamed ~program ~params ~budget ~jobs ~chunk_size
               ~lb spec
         | None -> run_sweep ~program ~params ~budget ~lb spec)
-    | None ->
-        let* cdag = Cdag.of_program_checked ~budget ~params program in
-        Format.printf "%a@." Cdag.pp_stats cdag;
-        show_degradation ();
-        let* prog_run =
-          Game.run_checked ~budget cdag ~s
-            ~schedule:(Game.program_schedule cdag)
-        in
-        let* random =
-          Game.run_checked ~budget cdag ~s
-            ~schedule:(Game.random_topological ~seed cdag)
-        in
-        Printf.printf "pebble game at S=%d:\n" s;
-        Printf.printf "  program order : %d loads (peak red %d)\n"
-          prog_run.Game.loads prog_run.Game.peak_red;
-        Printf.printf "  random order  : %d loads (peak red %d)\n"
-          random.Game.loads random.Game.peak_red;
-        List.iter
-          (fun (label, v) ->
-            Printf.printf "  lower bound (%s): %.1f\n" label v)
-          (pebble_lines ~s);
-        Ok ()
+    | None -> Driver.play_games ~budget ~s ~seed subject Format.std_formatter
   in
   let sim_kernel_arg =
     let doc =
@@ -530,15 +472,20 @@ let simulate_cmd =
   in
   let sim_file_arg =
     let doc =
-      "Simulate the affine program in $(i,FILE) (DSL source) at its \
-       $(b,verify) sizes; $(b,-m)/$(b,-n) are ignored in this mode."
+      "Simulate the affine program in $(i,FILE) (DSL source) instead of a \
+       built-in kernel.  Its bounds are derived at the source's \
+       $(b,verify) sizes; the game or sweep runs at those sizes too unless \
+       $(b,--param) sets run sizes.  $(b,-m)/$(b,-n) apply to built-in \
+       kernels only."
     in
     Arg.(value & opt (some string) None & info [ "file" ] ~docv:"FILE" ~doc)
   in
   let sim_param_arg =
     let doc =
-      "With $(b,--file): override one verify binding, e.g. $(b,--param \
-       N=16).  Repeatable."
+      "With $(b,--file): set the run size of one parameter, e.g. \
+       $(b,--param N=16).  Repeatable.  Run sizes must satisfy the source's \
+       $(b,assume) constraints; the bounds are still derived at the \
+       $(b,verify) sizes."
     in
     Arg.(value & opt_all string [] & info [ "param" ] ~docv:"NAME=V" ~doc)
   in

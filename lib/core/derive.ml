@@ -367,7 +367,7 @@ let analyze ?budget ~verify_params p =
 
 type outcome = { bounds : t list; degradation : string option }
 
-let analyze_ladder ?(budget = Budget.unlimited) ~verify_params p =
+let ladder_with_patterns ?(budget = Budget.unlimited) ~verify_params p =
   Engine_error.protect @@ fun () ->
   let notes = ref [] in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
@@ -382,9 +382,11 @@ let analyze_ladder ?(budget = Budget.unlimited) ~verify_params p =
           (Budget.stage_name stage);
         []
   in
+  let patterns = ref [] in
   let hg_bounds =
     attempt "hourglass" (fun () ->
         let hgs = Hourglass.detect_verified ~budget ~params:verify_params p in
+        patterns := hgs;
         List.concat_map (hourglass ~budget p) hgs)
   in
   let classical_bounds =
@@ -395,15 +397,21 @@ let analyze_ladder ?(budget = Budget.unlimited) ~verify_params p =
      wall-clock deadline between two sparse checks; a timed-out analysis
      must not report success. *)
   Budget.check_deadline budget Budget.Derivation;
-  if bounds <> [] then Ok { bounds; degradation = collected () }
-  else
-    match trivial p with
-    | Some b ->
-        note "degraded to the trivial input-footprint bound";
-        Ok { bounds = [ b ]; degradation = collected () }
-    | None ->
-        note "no bound derivable (no hourglass; Brascamp-Lieb exponent <= 1; no recognizable input array)";
-        Ok { bounds = []; degradation = collected () }
+  let bounds =
+    if bounds <> [] then bounds
+    else
+      match trivial p with
+      | Some b ->
+          note "degraded to the trivial input-footprint bound";
+          [ b ]
+      | None ->
+          note "no bound derivable (no hourglass; Brascamp-Lieb exponent <= 1; no recognizable input array)";
+          []
+  in
+  Ok (!patterns, { bounds; degradation = collected () })
+
+let analyze_ladder ?budget ~verify_params p =
+  Result.map snd (ladder_with_patterns ?budget ~verify_params p)
 
 let eval b ~params ~s =
   let env x =

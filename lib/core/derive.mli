@@ -126,6 +126,16 @@ val analyze_ladder :
   Iolb_ir.Program.t ->
   (outcome, Iolb_util.Engine_error.t) result
 
+(** [ladder_with_patterns] is {!analyze_ladder} that also returns the
+    hourglass patterns its first rung verified at [verify_params] ([[]]
+    when that rung aborted before detection finished), so a caller that
+    reports the patterns does not run detection a second time. *)
+val ladder_with_patterns :
+  ?budget:Iolb_util.Budget.t ->
+  verify_params:(string * int) list ->
+  Iolb_ir.Program.t ->
+  (Hourglass.t list * outcome, Iolb_util.Engine_error.t) result
+
 (** [eval b ~params ~s] evaluates the bound numerically ([sqrtS] is bound
     to [sqrt s]). *)
 val eval : t -> params:(string * int) list -> s:int -> float

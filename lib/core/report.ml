@@ -133,18 +133,11 @@ type analysis = {
 
 let analyze_checked ?(budget = Budget.unlimited) entry =
   Engine_error.protect @@ fun () ->
-  (* Detection for display only: if it blows the budget here, the ladder
-     below records the abort; an empty pattern list is an honest display. *)
-  let hourglasses =
-    match
-      Hourglass.detect_verified ~budget ~params:entry.verify_params
-        entry.program
-    with
-    | hgs -> hgs
-    | exception Budget.Exhausted _ -> []
-  in
+  (* The displayed patterns are the ones the ladder's hourglass rung
+     verified: detection runs once.  A rung aborted during detection
+     leaves an empty list, an honest display next to the degradation. *)
   Result.map
-    (fun (o : Derive.outcome) ->
+    (fun (hourglasses, (o : Derive.outcome)) ->
       {
         entry;
         hourglasses;
@@ -168,7 +161,7 @@ let analyze_checked ?(budget = Budget.unlimited) entry =
             o.bounds;
         degradation = o.degradation;
       })
-    (Derive.analyze_ladder ~budget ~verify_params:entry.verify_params
+    (Derive.ladder_with_patterns ~budget ~verify_params:entry.verify_params
        entry.program)
 
 let analyze ?budget entry =
@@ -246,16 +239,18 @@ let concrete_params entry ~m ~n =
              (Printf.sprintf "need m >= 1 and n >= 1, got m = %d, n = %d" m n))
       else Ok [ ("M", m); ("N", n) ]
 
-let eval_best a ~technique ~m ~n ~s =
+let eval_best_at a ~technique ~params ~s =
   let keep (b : Derive.t) =
     match (technique, b.technique) with
     | `Classical, Derive.Classical -> true
     | `Hourglass, (Derive.Hourglass | Derive.Hourglass_small_s) -> true
     | _ -> false
   in
-  let params = params_of a.entry ~m ~n in
   Derive.best ~params ~s (List.filter keep a.bounds)
   |> Option.map (fun b -> Derive.eval b ~params ~s)
+
+let eval_best a ~technique ~m ~n ~s =
+  eval_best_at a ~technique ~params:(params_of a.entry ~m ~n) ~s
 
 type comparison_row = { m : int; n : int; s : int; engine : float; paper : float }
 

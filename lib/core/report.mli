@@ -98,6 +98,15 @@ val eval_best :
   s:int ->
   float option
 
+(** {!eval_best} at explicit parameter bindings (e.g. a command's run
+    sizes) instead of the kernel's (m, n) shape. *)
+val eval_best_at :
+  analysis ->
+  technique:[ `Classical | `Hourglass ] ->
+  params:(string * int) list ->
+  s:int ->
+  float option
+
 (** Engine-vs-paper ratio table rows: for each grid point, the evaluation
     of the engine bound, of the paper bound, and their ratio. *)
 type comparison_row = {

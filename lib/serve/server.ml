@@ -4,9 +4,9 @@ module Budget = Iolb_util.Budget
 module Engine_error = Iolb_util.Engine_error
 module Report = Iolb.Report
 module Derive = Iolb.Derive
-module Hourglass = Iolb.Hourglass
 module Front = Iolb_front.Front
 module Diag = Iolb_front.Diag
+module Driver = Iolb_front.Driver
 module Sweep = Iolb_pebble.Sweep
 
 type address = Unix_sock of string | Tcp of string * int
@@ -245,10 +245,12 @@ let handle_engine t (req : Protocol.request) =
                   if cacheable budget a then Lru.add t.cache key result;
                   respond_ok t ~id ~op:"analyze" result)))
   | Protocol.Source { src; budget } -> (
-      (* Inline DSL source: parse, then run the graceful-degradation
-         ladder.  Parse failures are Invalid_input with the diagnostic's
-         line:col position; caching mirrors Analyze (content = the source
-         text itself, complete results only). *)
+      (* Inline DSL source: parse, then analyse it as [bounds --file]
+         does - the paper analysis when it resolves to a built-in, the
+         graceful-degradation ladder otherwise.  Parse failures are
+         Invalid_input with the diagnostic's line:col position; caching
+         mirrors Analyze (content = the source text itself, complete
+         results only). *)
       match Front.parse_string ~file:"<source>" src with
       | Error d ->
           respond_error t ~id (Protocol.Engine (Diag.to_engine_error d))
@@ -264,26 +266,18 @@ let handle_engine t (req : Protocol.request) =
               match make_budget t budget with
               | Error e -> respond_error t ~id (Protocol.Engine e)
               | Ok b -> (
-                  let hourglasses =
-                    match
-                      Hourglass.detect_verified ~budget:b
-                        ~params:source.Front.verify source.Front.program
-                    with
-                    | hgs -> List.length hgs
-                    | exception Budget.Exhausted _ -> 0
-                  in
-                  match
-                    Derive.analyze_ladder ~budget:b
-                      ~verify_params:source.Front.verify source.Front.program
-                  with
+                  match Driver.of_source ~budget:b source with
                   | Error e -> respond_error t ~id (Protocol.Engine e)
-                  | Ok o ->
+                  | Ok subject ->
+                      let o = Driver.outcome subject in
                       let result =
                         Json.to_string
                           (Protocol.source_result ~spec
                              ~kernel:
                                source.Front.program.Iolb_ir.Program.name
-                             ~hourglasses o)
+                             ~hourglasses:
+                               (List.length (Driver.hourglasses subject))
+                             o)
                       in
                       if budget.fault = None && o.Derive.degradation = None
                       then Lru.add t.cache key result;

@@ -181,6 +181,118 @@ let test_jobs_deterministic () =
   Alcotest.(check string) "jobs 4 = jobs 1" seq (render ~jobs:4)
 
 (* ------------------------------------------------------------------ *)
+(* One subject per command: the bounds are derived at the source's
+   verify sizes, the run sizes only instantiate the game. *)
+
+let subject_ok what = function
+  | Ok s -> s
+  | Error e -> Alcotest.failf "%s: %s" what (EE.to_string e)
+
+let games subject =
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  (match
+     Driver.play_games ~budget:Budget.unlimited ~s:256 ~seed:0 subject ppf
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "play_games: %s" (EE.to_string e));
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+(* [simulate --file K.iolb --param M=48 --param N=24] prints the bytes of
+   [simulate K -m 48 -n 24]. *)
+let test_simulate_file_matches_builtin () =
+  let budget = Budget.unlimited in
+  List.iter
+    (fun (kernel, file) ->
+      let src = parse_file_ok (locate ("../examples/kernels/" ^ file)) in
+      let from_file =
+        Driver.of_source ~budget ~run:[ ("M", 48); ("N", 24) ] src
+        |> subject_ok file
+      in
+      let entry = Report.find kernel in
+      let from_name =
+        Driver.of_entry ~budget
+          ~run:(Result.get_ok (Report.concrete_params entry ~m:48 ~n:24))
+          entry
+        |> subject_ok kernel
+      in
+      Alcotest.(check string)
+        (kernel ^ ": simulate --file = simulate KERNEL")
+        (games from_name) (games from_file))
+    [ ("mgs", "mgs.iolb"); ("qr_hh_a2v", "qr_hh_a2v.iolb") ]
+
+(* Run-size overrides move [run] only: [verify] stays the source's
+   clause, and so does the derivation (same report as [bounds --file]). *)
+let test_overrides_keep_verify () =
+  let budget = Budget.unlimited in
+  let path = locate "../examples/kernels/mgs.iolb" in
+  let src = parse_file_ok path in
+  let subject =
+    Driver.of_source ~budget ~run:[ ("N", 16); ("M", 40); ("N", 20) ] src
+    |> subject_ok "mgs overrides"
+  in
+  Alcotest.(check (list (pair string int)))
+    "verify is the source's clause" src.Front.verify subject.Driver.verify;
+  Alcotest.(check (list (pair string int)))
+    "run takes the last override of each name"
+    [ ("M", 40); ("N", 20) ] subject.Driver.run;
+  Alcotest.(check string) "report derived at the verify sizes"
+    (Result.get_ok (Driver.render_file ~budget ~logs:false path))
+    (Driver.render ~logs:false subject);
+  let plain = Driver.of_source ~budget src |> subject_ok "mgs" in
+  Alcotest.(check (list (pair string int)))
+    "no overrides: run = verify" src.Front.verify plain.Driver.run
+
+(* A source that resolves to no built-in (GEMM) derives through the
+   ladder; [simulate --file] evaluates the very bound [bounds --file]
+   prints. *)
+let test_nonresolving_same_bound () =
+  let budget = Budget.unlimited in
+  let path = locate "../examples/kernels/gemm.iolb" in
+  let src = parse_file_ok path in
+  Alcotest.(check bool) "gemm resolves to no built-in" true
+    (Driver.resolve src = None);
+  let run = [ ("M", 12); ("N", 10); ("K", 8) ] in
+  let subject = Driver.of_source ~budget ~run src |> subject_ok "gemm" in
+  Alcotest.(check string) "same bounds as bounds --file"
+    (Result.get_ok (Driver.render_file ~budget ~logs:false path))
+    (Driver.render ~logs:false subject);
+  let bounds = (Driver.outcome subject).Iolb.Derive.bounds in
+  let s = 16 in
+  let expected =
+    match Iolb.Derive.best ~params:run ~s bounds with
+    | Some b -> [ ("derived", Iolb.Derive.eval b ~params:run ~s) ]
+    | None -> Alcotest.fail "gemm: no applicable bound"
+  in
+  Alcotest.(check (list (pair string (float 0.))))
+    "simulate --file evaluates the derived bound" expected
+    (Driver.bound_lines subject ~params:run ~s)
+
+(* Run sizes outside the source's [assume] constraints are invalid input
+   naming the parameter and the constraint, as -m/-n are for built-ins. *)
+let test_run_sizes_checked () =
+  let budget = Budget.unlimited in
+  let src = parse_file_ok (locate "../examples/kernels/mgs.iolb") in
+  List.iter
+    (fun (run, expected) ->
+      match Driver.of_source ~budget ~run src with
+      | Ok _ -> Alcotest.failf "%s: accepted" expected
+      | Error e ->
+          Alcotest.(check string) expected ("invalid input: " ^ expected)
+            (EE.to_string e);
+          Alcotest.(check int) (expected ^ ": exit code") 2 (EE.exit_code e))
+    [
+      ( [ ("M", -3) ],
+        "run sizes violate assumption M - N >= 0 of kernel mgs (M = -3, N = \
+         4)" );
+      ( [ ("N", 1) ],
+        "run sizes violate assumption N - 2 >= 0 of kernel mgs (N = 1)" );
+      ( [ ("Q", 3) ],
+        "--param Q=3: Q is not a parameter of kernel mgs" );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Golden diagnostics: the malformed corpus under test/data/ is pinned
    to exact file:line:col messages and the Invalid_input embedding the
    CLI renders (exit code 2, "iolb: error: " ^ message). *)
@@ -297,6 +409,13 @@ let suite =
     Alcotest.test_case "reports-byte-identical" `Slow
       test_reports_byte_identical;
     Alcotest.test_case "jobs-deterministic" `Slow test_jobs_deterministic;
+    Alcotest.test_case "simulate-file-matches-builtin" `Quick
+      test_simulate_file_matches_builtin;
+    Alcotest.test_case "overrides-keep-verify" `Quick
+      test_overrides_keep_verify;
+    Alcotest.test_case "nonresolving-same-bound" `Quick
+      test_nonresolving_same_bound;
+    Alcotest.test_case "run-sizes-checked" `Quick test_run_sizes_checked;
     Alcotest.test_case "malformed-corpus" `Quick test_malformed_corpus;
     Alcotest.test_case "inline-diagnostics" `Quick test_inline_diags;
     Alcotest.test_case "unknown-kernel-message" `Quick

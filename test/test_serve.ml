@@ -437,6 +437,111 @@ let test_crash_gated_by_default () =
 (* The same request sequence against different worker widths must come
    back byte-for-byte identical - the cache and the fan-out must not
    leak into the payload. *)
+(* The [source] op analyses inline DSL text as [bounds --file] does: for
+   every shipped source, the same bounds and the same number of verified
+   hourglass patterns.  A repeated request is a byte-identical cache hit;
+   a malformed source is a typed invalid_input carrying line:col. *)
+let source_line ~id src =
+  Json.to_string
+    (Json.Obj
+       [ ("id", Json.Int id); ("op", Json.String "source"); ("src", Json.String src) ])
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The [bounds --file] lines a source response must reproduce. *)
+let report_lines report ~prefix =
+  List.filter (String.starts_with ~prefix) (String.split_on_char '\n' report)
+
+let bound_line ~kernel b =
+  let field k =
+    match Json.member k b with
+    | Some (Json.String v) -> v
+    | _ -> Alcotest.failf "bound: missing %s" k
+  in
+  let technique =
+    match field "technique" with
+    | "hourglass_small_s" -> "hourglass (small cache)"
+    | t -> t
+  in
+  Printf.sprintf "[%s/%s, %s] Q >= %s  (%s)" kernel (field "stmt") technique
+    (field "formula") (field "validity")
+
+let test_source_op () =
+  let files =
+    List.map snd (Test_front.example_files @ Test_front.baseline_files)
+  in
+  with_server (fun _ address ->
+      with_client address (fun c ->
+          List.iteri
+            (fun i path ->
+              let report =
+                match
+                  Iolb_front.Driver.render_file ~budget:Budget.unlimited
+                    ~logs:false path
+                with
+                | Ok r -> r
+                | Error e ->
+                    Alcotest.failf "%s: %s" path (Engine_error.to_string e)
+              in
+              let line = source_line ~id:i (read_file path) in
+              let first = raw_line c line in
+              Alcotest.(check string)
+                (path ^ ": repeated request byte-identical")
+                first (raw_line c line);
+              let r = parsed first in
+              Alcotest.(check bool) (path ^ ": ok") true r.Protocol.ok;
+              let kernel =
+                match Json.member "kernel" r.Protocol.body with
+                | Some (Json.String k) -> k
+                | _ -> Alcotest.failf "%s: missing kernel" path
+              in
+              Alcotest.(check bool)
+                (path ^ ": hourglasses as in bounds --file")
+                true
+                (Json.member "hourglasses" r.Protocol.body
+                = Some
+                    (Json.Int
+                       (List.length
+                          (report_lines report ~prefix:"hourglass on "))));
+              match Json.member "bounds" r.Protocol.body with
+              | Some (Json.List bounds) ->
+                  Alcotest.(check (list string))
+                    (path ^ ": bounds as in bounds --file")
+                    (report_lines report ~prefix:"[")
+                    (List.map (bound_line ~kernel) bounds)
+              | _ -> Alcotest.failf "%s: missing bounds" path)
+            files;
+          let r = rpc c ~op:"stats" [] in
+          (match Json.member "cache" r.Protocol.body with
+          | Some cache ->
+              Alcotest.(check bool) "every repeat is a cache hit" true
+                (match Json.member "hits" cache with
+                | Some (Json.Int h) -> h >= List.length files
+                | _ -> false)
+          | None -> Alcotest.fail "stats: missing cache section");
+          let r =
+            parsed
+              (raw_line c
+                 (source_line ~id:99 "kernel k()\n{\n  S: a = f()\n}\n"))
+          in
+          Alcotest.(check bool) "malformed source not ok" false r.Protocol.ok;
+          Alcotest.(check int) "malformed source exit code" 2
+            r.Protocol.exit_code;
+          Alcotest.(check bool) "malformed source is invalid_input" true
+            (Json.member "code" r.Protocol.body
+            = Some (Json.String "invalid_input"));
+          Alcotest.(check (option string)) "diagnostic carries line:col"
+            (Some
+               "invalid input: <source>:4:1: expected ';' terminating the \
+                statement, got '}'")
+            (match Json.member "message" r.Protocol.body with
+            | Some (Json.String m) -> Some m
+            | _ -> None)))
+
 let determinism_lines =
   [
     {|{"id":0,"op":"list"}|};
@@ -670,6 +775,8 @@ let suite =
       test_response_envelopes;
     Alcotest.test_case "lru: recency, eviction, stats" `Quick test_lru;
     Alcotest.test_case "server: end to end" `Quick test_server_end_to_end;
+    Alcotest.test_case "server: source op matches bounds --file" `Quick
+      test_source_op;
     Alcotest.test_case "server: crash op gated by default" `Quick
       test_crash_gated_by_default;
     Alcotest.test_case "server: byte-identical across widths" `Quick
