@@ -1089,8 +1089,8 @@ let timings () =
              ignore (Deps.between K.Mgs.spec ~writer:"SU" ~reader:"SR")));
       Test.make ~name:"hourglass: verify mgs 6x4"
         (Staged.stage (fun () ->
-             ignore
-               (Hourglass.verify ~params:[ ("M", 6); ("N", 4) ] K.Mgs.spec hg)));
+             let cdag = Cdag.of_program ~params:[ ("M", 6); ("N", 4) ] K.Mgs.spec in
+             ignore (Hourglass.verify cdag K.Mgs.spec hg)));
     ]
   in
   bechamel_run ~print:true tests
@@ -1131,8 +1131,9 @@ let derive_bench () =
   pf "cardinal  domain(SU) at M=64 N=32: %d\n" (Iset.cardinal ~params:p64 dom);
   pf "is_empty  domain(SU) at M=64 N=32: %b\n" (Iset.is_empty ~params:p64 dom);
   let hgs = Hourglass.detect K.Mgs.spec in
+  let verify_cdag = Cdag.of_program ~params:verify_params K.Mgs.spec in
   let verified =
-    List.length (List.filter (Hourglass.verify ~params:verify_params K.Mgs.spec) hgs)
+    List.length (List.filter (Hourglass.verify verify_cdag K.Mgs.spec) hgs)
   in
   pf "hourglass verify at M=6 N=4: %d/%d verified\n" verified (List.length hgs);
   pf "(ns/run figures are in the --json metrics)\n";
@@ -1159,7 +1160,8 @@ let derive_bench () =
         (Staged.stage (fun () -> ignore (Iset.is_empty ~params:p64 dom)));
       Test.make ~name:"hourglass: verify mgs 6x4"
         (Staged.stage (fun () ->
-             ignore (Hourglass.verify ~params:verify_params K.Mgs.spec hg)));
+             let cdag = Cdag.of_program ~params:verify_params K.Mgs.spec in
+             ignore (Hourglass.verify cdag K.Mgs.spec hg)));
     ]
 
 (* ------------------------------------------------------------------ *)

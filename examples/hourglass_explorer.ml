@@ -21,6 +21,7 @@ let () =
   let cdag = Cdag.of_program ~params prog in
   Format.printf "CDAG: %a@." Cdag.pp_stats cdag;
   let patterns = H.detect_verified ~params prog in
+  let reach = Cdag.reachability cdag in
   List.iter
     (fun (h : H.t) ->
       Format.printf "@.%a@." H.pp h;
@@ -50,7 +51,7 @@ let () =
                 if
                   key n_idx va = key n_idx vb
                   && key t_idx vb > key t_idx va
-                  && Cdag.is_reachable cdag a b
+                  && Cdag.reaches reach a b
                 then found := Some (a, b)
               end)
             nodes)

@@ -224,28 +224,6 @@ let node_of_instance t name vec =
 let n_inputs t = t.n_inputs
 let n_computes t = n_nodes t - t.n_inputs
 
-let is_reachable t a b =
-  if a = b then true
-  else begin
-    let visited = Array.make (n_nodes t) false in
-    let queue = Queue.create () in
-    Queue.add a queue;
-    visited.(a) <- true;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      Array.iter
-        (fun v ->
-          if v = b then found := true
-          else if not visited.(v) then begin
-            visited.(v) <- true;
-            Queue.add v queue
-          end)
-        t.succs.(u)
-    done;
-    !found
-  end
-
 type reachability = {
   g : t;
   mark : int array; (* epoch-stamped visited marks, reused across queries *)
@@ -261,8 +239,12 @@ let reachability t =
     stack = Array.make 1024 0;
   }
 
+(* Node ids are a topological order (every edge goes from a lower to a
+   higher id), so no path leads from [a] to a lower [b], and no node above
+   [b] leads back down to it: the search never enters ids beyond [b]. *)
 let reaches r a b =
   if a = b then true
+  else if a > b then false
   else begin
     let g = r.g in
     r.epoch <- r.epoch + 1;
@@ -289,7 +271,7 @@ let reaches r a b =
       while (not !found) && !i < len do
         let v = ss.(!i) in
         if v = b then found := true
-        else if mark.(v) <> e then begin
+        else if v < b && mark.(v) <> e then begin
           mark.(v) <- e;
           push v
         end;

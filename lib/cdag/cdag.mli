@@ -58,7 +58,10 @@ val preds_csr : t -> int array * int array
 val succs_csr : t -> int array * int array
 
 (** Node ids in a valid topological (= program) order, inputs first at their
-    first use point. *)
+    first use point.  Node ids are assigned in this order, so it is the
+    identity: every edge goes from a lower to a higher id (an input node is
+    created at its first read, before its reader; a compute node after all
+    of its predecessors).  {!reaches} relies on this invariant. *)
 val program_order : t -> int array
 
 (** All node ids of instances of the given statement. *)
@@ -70,9 +73,6 @@ val node_of_instance : t -> string -> int array -> int option
 val n_inputs : t -> int
 val n_computes : t -> int
 
-(** [is_reachable t a b]: is there a directed path from [a] to [b]? (BFS) *)
-val is_reachable : t -> int -> int -> bool
-
 (** A reusable reachability oracle over one CDAG.  Visited marks are
     epoch-stamped and the DFS stack is kept across queries, so repeated
     queries (e.g. hourglass verification over many instance pairs)
@@ -81,8 +81,11 @@ type reachability
 
 val reachability : t -> reachability
 
-(** [reaches r a b] is [is_reachable] on the oracle's CDAG, without
-    per-query allocation.  Not thread-safe: use one oracle per domain. *)
+(** [reaches r a b]: is there a directed path from [a] to [b] in the
+    oracle's CDAG?  Since edges go from lower to higher ids, [a > b] answers
+    [false] without a search, and the DFS never enters a node whose id
+    exceeds [b].  No per-query allocation.  Not thread-safe: use one oracle
+    per domain. *)
 val reaches : reachability -> int -> int -> bool
 
 (** [convex_closure t nodes] adds every node lying on a directed path

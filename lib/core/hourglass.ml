@@ -132,8 +132,7 @@ let detect p =
     [] candidates
   |> List.rev
 
-let verify ?(budget = Iolb_util.Budget.unlimited) ~params p h =
-  let cdag = Cdag.of_program ~budget ~params p in
+let verify ?(budget = Iolb_util.Budget.unlimited) cdag p h =
   let info = Program.find_stmt p h.update_stmt in
   let dim_index d =
     match List.find_index (String.equal d) info.dims with
@@ -204,7 +203,11 @@ let verify ?(budget = Iolb_util.Budget.unlimited) ~params p h =
   (!forward_ok || !backward_ok) && !checked > 0
 
 let detect_verified ?budget ~params p =
-  List.filter (verify ?budget ~params p) (detect p)
+  match detect p with
+  | [] -> []
+  | hs ->
+      let cdag = Cdag.of_program ?budget ~params p in
+      List.filter (verify ?budget cdag p) hs
 
 let pp fmt h =
   Format.fprintf fmt

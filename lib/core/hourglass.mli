@@ -41,18 +41,22 @@ val detect : Iolb_ir.Program.t -> t list
 (** [detect_verified ~params p] keeps only the candidates whose dependence
     chains are confirmed by {!verify} on the concrete CDAG at [params].
     This is the production entry point: {!detect} generates candidates from
-    access shapes, the pebble-level check prunes the spurious ones. *)
+    access shapes, the pebble-level check prunes the spurious ones.  The
+    CDAG is built once (charging one [Cdag_build] step per statement
+    instance) and shared by every candidate; no CDAG is built when
+    {!detect} finds no candidate. *)
 val detect_verified :
   ?budget:Iolb_util.Budget.t -> params:(string * int) list -> Iolb_ir.Program.t -> t list
 
-(** [verify ~params p h] checks the pattern empirically on the concrete
-    CDAG: for instances of the update statement with equal neutral
-    coordinates and consecutive temporal coordinates, there is a dependence
-    path from the earlier to the later instance for every pair of reduction
-    coordinates sampled.  Returns false if any sampled pair lacks a path. *)
+(** [verify cdag p h] checks the pattern empirically on [cdag], the
+    concrete CDAG of [p]: for instances of the update statement with equal
+    neutral coordinates and consecutive temporal coordinates, there is a
+    dependence path from the earlier to the later instance for every pair
+    of reduction coordinates sampled.  Returns false if any sampled pair
+    lacks a path.  One [Derivation] budget checkpoint per sampled pair. *)
 val verify :
   ?budget:Iolb_util.Budget.t ->
-  params:(string * int) list ->
+  Iolb_cdag.Cdag.t ->
   Iolb_ir.Program.t ->
   t ->
   bool

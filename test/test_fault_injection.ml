@@ -134,21 +134,35 @@ let test_ladder_faults_baselines () =
     baselines
 
 (* The ladder must actually degrade - not just error out - under a step
-   budget that kills both partitioning rungs: MGS is updated in place, so
-   the read-modify-written A qualifies for the trivial input-footprint
-   rung. *)
+   budget that kills both partitioning rungs: these kernels update in
+   place, so the read-modify-written array qualifies for the trivial
+   input-footprint rung.  The cap is one step short of the single CDAG
+   build (one step per statement instance), so the hourglass rung dies in
+   CDAG construction and the classical rung finds the budget spent. *)
 let test_degrades_to_trivial () =
-  let entry = Report.find "mgs" in
-  let budget = Budget.make ~max_steps:200 () in
-  match Report.analyze_checked ~budget entry with
-  | Error e -> Alcotest.failf "expected degradation, got %s" (EE.to_string e)
-  | Ok a ->
-      Alcotest.(check bool) "degradation recorded" true (a.degradation <> None);
-      Alcotest.(check bool) "trivial bound produced" true
-        (List.exists (fun (b : D.t) -> b.technique = D.Trivial) a.bounds);
-      check_sound ~ctx:"max-steps 200" ~name:entry.display
-        ~cdag_params:entry.verify_params ~eval_params:(eval_params entry)
-        entry.program a.bounds
+  List.iter
+    (fun name ->
+      let entry = Report.find name in
+      let max_steps =
+        Cdag.n_computes
+          (Cdag.of_program ~params:entry.verify_params entry.program)
+        - 1
+      in
+      let ctx = Printf.sprintf "max-steps %d" max_steps in
+      let budget = Budget.make ~max_steps () in
+      match Report.analyze_checked ~budget entry with
+      | Error e ->
+          Alcotest.failf "%s: expected degradation, got %s" name
+            (EE.to_string e)
+      | Ok a ->
+          Alcotest.(check bool) "degradation recorded" true
+            (a.degradation <> None);
+          Alcotest.(check bool) "trivial bound produced" true
+            (List.exists (fun (b : D.t) -> b.technique = D.Trivial) a.bounds);
+          check_sound ~ctx ~name:entry.display
+            ~cdag_params:entry.verify_params ~eval_params:(eval_params entry)
+            entry.program a.bounds)
+    [ "mgs"; "gebd2"; "qr_hh_a2v"; "gehd2" ]
 
 (* A generous budget must not change the result at all: same bounds as the
    unlimited pipeline, and no degradation note. *)

@@ -5,6 +5,8 @@
 
 module H = Iolb.Hourglass
 module K = Iolb_kernels
+module Cdag = Iolb_cdag.Cdag
+module Budget = Iolb_util.Budget
 
 let find_on ?reduction prog stmt =
   List.find_opt
@@ -77,7 +79,7 @@ let test_verify_empirically () =
           Alcotest.(check bool)
             (Printf.sprintf "chains exist on the CDAG of %s" stmt)
             true
-            (H.verify ~params prog h))
+            (H.verify (Cdag.of_program ~params prog) prog h))
     [
       (K.Mgs.spec, "SU", [ "i" ], [ ("M", 6); ("N", 4) ]);
       (K.Householder.a2v_spec, "SU", [ "i" ], [ ("M", 7); ("N", 4) ]);
@@ -85,6 +87,26 @@ let test_verify_empirically () =
       (K.Gebd2.spec, "BUl", [ "i" ], [ ("M", 7); ("N", 4) ]);
       (K.Gehd2.split_spec, "SU1a", [ "i" ], [ ("N", 8); ("M", 3) ]);
     ]
+
+(* Detection verifies every candidate on one shared CDAG: the ladder
+   charges exactly one [Cdag_build] step per statement instance, however
+   many candidates [detect] proposes. *)
+let test_one_cdag_per_detection () =
+  List.iter
+    (fun name ->
+      let entry = Iolb.Report.find name in
+      let params = entry.verify_params in
+      let b = Budget.make ~max_steps:max_int () in
+      (match Iolb.Derive.analyze_ladder ~budget:b ~verify_params:params
+               entry.program
+       with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" name (Iolb_util.Engine_error.to_string e));
+      Alcotest.(check int)
+        (name ^ ": Cdag_build steps = statement instances")
+        (Cdag.n_computes (Cdag.of_program ~params entry.program))
+        (Budget.stage_steps b Budget.Cdag_build))
+    [ "mgs"; "gebd2"; "gehd2" ]
 
 let suite =
   [
@@ -99,4 +121,6 @@ let suite =
       test_verify_empirically;
     Alcotest.test_case "spurious candidates pruned by verification" `Quick
       test_spurious_candidates_pruned;
+    Alcotest.test_case "one CDAG build per detection" `Quick
+      test_one_cdag_per_detection;
   ]

@@ -4,6 +4,9 @@ module Cdag = Iolb_cdag.Cdag
 module Game = Iolb_pebble.Game
 module Program = Iolb_ir.Program
 module K = Iolb_kernels
+module Report = Iolb.Report
+module Gen = Iolb_check.Gen
+module Spec = Iolb_check.Spec
 
 let mgs_cdag m n = Cdag.of_program ~params:[ ("M", m); ("N", n) ] K.Mgs.spec
 
@@ -17,25 +20,85 @@ let test_cdag_counts () =
   (* Inputs: exactly the M*N cells of A. *)
   Alcotest.(check int) "inputs = M*N" 15 (Cdag.n_inputs cdag)
 
-let test_program_order_topological () =
-  let cdag = mgs_cdag 5 3 in
+(* [Cdag.reaches] prunes its search by node id, which is sound only if
+   node ids are a topological order: every predecessor id is below its
+   node's id, and [program_order] is the identity. *)
+let check_ids_topological ctx cdag =
   let order = Cdag.program_order cdag in
-  let pos = Array.make (Cdag.n_nodes cdag) 0 in
-  Array.iteri (fun i id -> pos.(id) <- i) order;
+  Alcotest.(check bool)
+    (ctx ^ ": program order is the identity")
+    true
+    (order = Array.init (Cdag.n_nodes cdag) Fun.id);
   let ok = ref true in
   for id = 0 to Cdag.n_nodes cdag - 1 do
-    Array.iter (fun p -> if pos.(p) >= pos.(id) then ok := false) (Cdag.preds cdag id)
+    Array.iter (fun p -> if p >= id then ok := false) (Cdag.preds cdag id)
   done;
-  Alcotest.(check bool) "preds before succs" true !ok
+  Alcotest.(check bool) (ctx ^ ": preds before succs") true !ok
+
+let test_program_order_topological () =
+  check_ids_topological "mgs 5x3" (mgs_cdag 5 3);
+  List.iter
+    (fun (e : Report.entry) ->
+      check_ids_topological e.display
+        (Cdag.of_program ~params:e.verify_params e.program))
+    Report.registry;
+  List.iter
+    (fun seed ->
+      let prog, params = Spec.to_program (Gen.spec ~seed) in
+      check_ids_topological
+        (Printf.sprintf "generated seed %d" seed)
+        (Cdag.of_program ~params prog))
+    [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
 let test_reachability () =
   let cdag = mgs_cdag 4 3 in
+  let reach = Cdag.reachability cdag in
   (* SU[0,1,0] must reach SU[1,2,0] (hourglass chain), and nothing reaches
      backwards. *)
   let a = Option.get (Cdag.node_of_instance cdag "SU" [| 0; 1; 0 |]) in
   let b = Option.get (Cdag.node_of_instance cdag "SU" [| 1; 2; 0 |]) in
-  Alcotest.(check bool) "forward reachable" true (Cdag.is_reachable cdag a b);
-  Alcotest.(check bool) "not backward" false (Cdag.is_reachable cdag b a)
+  Alcotest.(check bool) "forward reachable" true (Cdag.reaches reach a b);
+  Alcotest.(check bool) "not backward" false (Cdag.reaches reach b a)
+
+(* Reference reachability: an unpruned BFS over successor edges, marking
+   every node reachable from [a] (including [a] itself). *)
+let bfs_from cdag a =
+  let seen = Array.make (Cdag.n_nodes cdag) false in
+  let queue = Queue.create () in
+  seen.(a) <- true;
+  Queue.add a queue;
+  while not (Queue.is_empty queue) do
+    Array.iter
+      (fun v ->
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          Queue.add v queue
+        end)
+      (Cdag.succs cdag (Queue.pop queue))
+  done;
+  seen
+
+(* The id-pruned oracle agrees with the plain BFS on every ordered pair,
+   queried in one oracle so the epoch-stamped marks are reused. *)
+let test_reaches_matches_bfs () =
+  let gebd2 = Report.find "gebd2" in
+  List.iter
+    (fun (ctx, cdag) ->
+      let reach = Cdag.reachability cdag in
+      let n = Cdag.n_nodes cdag in
+      let mismatches = ref 0 in
+      for a = 0 to n - 1 do
+        let expected = bfs_from cdag a in
+        for b = 0 to n - 1 do
+          if Cdag.reaches reach a b <> expected.(b) then incr mismatches
+        done
+      done;
+      Alcotest.(check int) (ctx ^ ": pairs disagreeing with BFS") 0 !mismatches)
+    [
+      ("mgs 4x3", mgs_cdag 4 3);
+      ( "gebd2 at verify sizes",
+        Cdag.of_program ~params:gebd2.verify_params gebd2.program );
+    ]
 
 let test_convex_closure () =
   let cdag = mgs_cdag 4 3 in
@@ -123,6 +186,8 @@ let suite =
     Alcotest.test_case "program order is topological" `Quick
       test_program_order_topological;
     Alcotest.test_case "reachability" `Quick test_reachability;
+    Alcotest.test_case "pruned reachability matches BFS" `Quick
+      test_reaches_matches_bfs;
     Alcotest.test_case "convex closure contains the neck" `Quick
       test_convex_closure;
     Alcotest.test_case "inset" `Quick test_inset;

@@ -88,6 +88,7 @@ let test_lemma3_inset_width () =
       let params = entry.Report.verify_params in
       let prog = entry.Report.program in
       let cdag = Cdag.of_program ~params prog in
+      let reach = Cdag.reachability cdag in
       let h =
         List.find
           (fun (h : H.t) -> h.reduction = [ "i" ])
@@ -123,7 +124,7 @@ let test_lemma3_inset_width () =
                 if
                   key n_idx va = key n_idx vb
                   && List.for_all2 (fun x y -> y - x >= 2) ta tb
-                  && Cdag.is_reachable cdag a b
+                  && Cdag.reaches reach a b
                 then begin
                   found := true;
                   let closure = Cdag.convex_closure cdag [ a; b ] in
